@@ -1,6 +1,5 @@
-//! Cmap entries and the shootdown message queues (§2.3 of the paper).
+//! Cmap entries and the shootdown message log (§2.3 of the paper).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -86,10 +85,6 @@ pub struct CmapMsg {
     /// itself after updating its Pmap ("it applies the change to its
     /// Pmap and removes itself from the target mask").
     pub targets: AtomicProcSet,
-    /// The maximum virtual time at which a target acknowledged; the
-    /// initiator advances its clock to this after the wait, which is how
-    /// shootdown latency propagates between processors in the simulation.
-    pub ack_vtime: AtomicU64,
 }
 
 impl CmapMsg {
@@ -99,33 +94,24 @@ impl CmapMsg {
             vpn,
             directive,
             targets: AtomicProcSet::from_set(targets),
-            ack_vtime: AtomicU64::new(0),
         })
     }
 
     /// Rewrites the message in place for reuse. Requires exclusive access
-    /// (`Arc::get_mut`), which proves no queue, target, or waiter still
-    /// holds the message — the per-processor message pools rely on this
-    /// to recycle acknowledged messages without heap traffic.
+    /// (`Arc::get_mut`), which proves neither the log nor a waiting
+    /// initiator still holds the message — the per-processor message
+    /// pools rely on this to recycle acknowledged messages without heap
+    /// traffic.
     pub fn reset(&mut self, vpn: Vpn, directive: Directive, targets: &ProcSet) {
         self.vpn = vpn;
         self.directive = directive;
         self.targets.store_from(targets);
-        *self.ack_vtime.get_mut() = 0;
     }
 
-    /// Removes `p` from the targets, acknowledging the change at virtual
-    /// time `now`.
+    /// Removes `p` from the targets: `p` has applied the change.
     #[inline]
-    pub fn ack(&self, p: usize, now: u64) {
-        self.ack_vtime.fetch_max(now, Ordering::AcqRel);
+    pub fn ack(&self, p: usize) {
         self.targets.remove(p);
-    }
-
-    /// The latest acknowledgment time seen so far.
-    #[inline]
-    pub fn ack_time(&self) -> u64 {
-        self.ack_vtime.load(Ordering::Acquire)
     }
 
     /// A snapshot of the processors that have not yet applied the change.
@@ -163,23 +149,22 @@ pub const DEFAULT_SHARDS: usize = 16;
 type Shard = RwLock<FastMap<Vpn, Arc<CmapEntry>>>;
 
 /// The per-address-space Cmap: the virtual-to-coherent page table plus the
-/// queues of recent mapping-change messages (§2.3).
+/// queue of recent mapping-change messages (§2.3).
 ///
 /// The directory is sharded by virtual page number so concurrent faults on
 /// different pages take different locks; consecutive pages land on
-/// different shards. Messages are delivered to a private queue per target
-/// processor, so a shootdown target drains its own queue without
-/// contending with initiators posting to other processors.
+/// different shards. The message queue is one log in post order: a
+/// message is appended once, whatever its target count, and each target
+/// applies it in place when it drains the log.
 pub struct Cmap {
     /// Virtual-to-coherent entries, created lazily on first fault,
     /// striped over `shards.len()` (a power of two) independent maps.
     shards: Box<[Shard]>,
     shard_mask: usize,
     /// "A queue of Cmap messages describing recent changes to the address
-    /// space" — one per target processor. A message for several targets is
-    /// enqueued on each target's queue; queue `p` only ever holds messages
-    /// with `p` in their target set.
-    queues: Box<[Mutex<Vec<Arc<CmapMsg>>>]>,
+    /// space", in post order. Every message in it has a nonempty target
+    /// set: the drain that removes the last target drops the message.
+    log: Mutex<Vec<Arc<CmapMsg>>>,
     /// Number of processors on the machine this Cmap serves; sizes new
     /// reference masks.
     nprocs: usize,
@@ -204,15 +189,13 @@ impl Cmap {
             shards.is_power_of_two() && shards > 0,
             "Cmap shard count must be a nonzero power of two"
         );
-        assert!(nprocs > 0, "Cmap needs at least one processor queue");
+        assert!(nprocs > 0, "Cmap needs at least one processor");
         let mut s = Vec::with_capacity(shards);
         s.resize_with(shards, || RwLock::new(FastMap::default()));
-        let mut q = Vec::with_capacity(nprocs);
-        q.resize_with(nprocs, || Mutex::new(Vec::new()));
         Self {
             shards: s.into_boxed_slice(),
             shard_mask: shards - 1,
-            queues: q.into_boxed_slice(),
+            log: Mutex::new(Vec::new()),
             nprocs,
         }
     }
@@ -279,54 +262,50 @@ impl Cmap {
         out
     }
 
-    /// Posts a message: it is enqueued on the private queue of every
-    /// processor in its (current) target set.
+    /// Posts a message: it is appended to the log once for all of its
+    /// (current) targets. A message with no target is not logged.
     pub fn post(&self, msg: Arc<CmapMsg>) {
-        for p in msg.pending().iter() {
-            let mut q = self.queues[p].lock();
-            q.push(Arc::clone(&msg));
-            // Compact messages this target has already applied, so a
-            // queue that is never drained (idle processor) stays short.
-            q.retain(|m| m.pending_for_proc(p));
+        if msg.has_pending() {
+            self.log.lock().push(msg);
         }
     }
 
-    /// The messages still pending for processor `p`.
+    /// The Cmap side of a processor's message drain: in post order, runs
+    /// `apply` on every message still pending for `p` and then
+    /// acknowledges it for `p`; in the same pass, drops every message
+    /// whose target set is now empty. Returns the number applied.
     ///
-    /// Non-destructive: the caller applies each change to its own
-    /// Pmap/ATC and then acks, which removes `p` from the target set; the
-    /// next call compacts acknowledged messages out of the queue. Only
-    /// `p`'s private queue is locked, so targets never contend with
-    /// initiators posting to other processors.
-    pub fn pending_for(&self, p: usize) -> Vec<Arc<CmapMsg>> {
-        let mut out = Vec::new();
-        self.pending_for_into(p, &mut out);
-        out
-    }
-
-    /// [`Cmap::pending_for`] into a caller-owned buffer (cleared first),
-    /// so the fault path's steady state drains without allocating.
-    pub fn pending_for_into(&self, p: usize, out: &mut Vec<Arc<CmapMsg>>) {
-        out.clear();
-        let mut q = self.queues[p].lock();
-        if q.is_empty() {
-            return;
-        }
-        q.retain(|m| m.pending_for_proc(p));
-        out.extend(q.iter().cloned());
-    }
-
-    /// Number of distinct unacknowledged messages (tests and reporting).
-    pub fn queue_len(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        for q in self.queues.iter() {
-            for m in q.lock().iter() {
-                if m.has_pending() {
-                    seen.insert(Arc::as_ptr(m));
-                }
+    /// `apply` runs under the log lock, which is what orders a drain
+    /// against a concurrent post (the activity handshake in
+    /// [`ActiveSpace`]). It may take directory shard locks, never post.
+    ///
+    /// [`ActiveSpace`]: crate::coherent::signal::ActiveSpace
+    pub fn drain(&self, p: usize, mut apply: impl FnMut(&CmapMsg)) -> u64 {
+        let mut applied = 0;
+        self.log.lock().retain(|m| {
+            if m.pending_for_proc(p) {
+                apply(m);
+                m.ack(p);
+                applied += 1;
             }
-        }
-        seen.len()
+            m.has_pending()
+        });
+        applied
+    }
+
+    /// Number of logged messages still pending for processor `p` (tests
+    /// and reporting).
+    pub fn pending_count(&self, p: usize) -> usize {
+        self.log
+            .lock()
+            .iter()
+            .filter(|m| m.pending_for_proc(p))
+            .count()
+    }
+
+    /// Number of messages in the log (tests and reporting).
+    pub fn log_len(&self) -> usize {
+        self.log.lock().len()
     }
 }
 
@@ -361,48 +340,56 @@ mod tests {
         assert_eq!(e.refs(), ProcSet::single(0));
     }
 
+    /// Drains the log as processor `p`, returning what it applied.
+    fn drain_as(c: &Cmap, p: usize) -> Vec<(Vpn, Directive)> {
+        let mut out = Vec::new();
+        let n = c.drain(p, |m| out.push((m.vpn, m.directive.clone())));
+        assert_eq!(n as usize, out.len());
+        out
+    }
+
     #[test]
     fn message_ack_drains() {
         let m = CmapMsg::new(5, Directive::Invalidate, &ProcSet::from_mask(0b1011));
-        m.ack(0, 100);
-        m.ack(3, 250);
+        m.ack(0);
+        m.ack(3);
         assert_eq!(m.pending(), ProcSet::from_mask(0b0010));
-        assert_eq!(m.ack_time(), 250);
-        m.ack(1, 50);
+        m.ack(1);
         assert!(!m.has_pending());
     }
 
     #[test]
-    fn queue_post_pending_compact() {
+    fn log_post_drain_compact() {
         let c = Cmap::new();
-        let m1 = CmapMsg::new(1, Directive::Invalidate, &ProcSet::from_mask(0b01));
-        let m2 = CmapMsg::new(2, Directive::RestrictToRead, &ProcSet::from_mask(0b11));
-        c.post(Arc::clone(&m1));
-        c.post(Arc::clone(&m2));
-        assert_eq!(c.queue_len(), 2);
-
-        // A message for two targets reaches both private queues.
-        let pending0 = c.pending_for(0);
-        assert_eq!(pending0.len(), 2);
-        let pending1 = c.pending_for(1);
-        assert_eq!(pending1.len(), 1);
-        assert_eq!(pending1[0].vpn, 2);
-
-        // Queries are non-destructive until the target acks.
-        assert_eq!(c.pending_for(0).len(), 2);
-        assert_eq!(c.pending_for(1).len(), 1);
-
-        // Acked messages are compacted away by the next query/post.
-        m1.ack(0, 1);
-        m2.ack(0, 1);
-        assert!(c.pending_for(0).is_empty());
-        m2.ack(1, 1);
         c.post(CmapMsg::new(
-            3,
+            1,
             Directive::Invalidate,
-            &ProcSet::from_mask(0b1),
+            &ProcSet::from_mask(0b01),
         ));
-        assert_eq!(c.queue_len(), 1);
+        c.post(CmapMsg::new(
+            2,
+            Directive::RestrictToRead,
+            &ProcSet::from_mask(0b11),
+        ));
+        // A message for two targets is logged once.
+        assert_eq!(c.log_len(), 2);
+        assert_eq!(c.pending_count(0), 2);
+        assert_eq!(c.pending_count(1), 1);
+
+        // Draining applies a target's messages once; its acks compact
+        // every message no other target still awaits.
+        assert_eq!(
+            drain_as(&c, 0),
+            vec![(1, Directive::Invalidate), (2, Directive::RestrictToRead)]
+        );
+        assert_eq!(c.log_len(), 1);
+        assert!(drain_as(&c, 0).is_empty(), "acked messages never re-apply");
+        assert_eq!(drain_as(&c, 1), vec![(2, Directive::RestrictToRead)]);
+        assert_eq!(c.log_len(), 0);
+
+        // A message without targets is never logged.
+        c.post(CmapMsg::new(3, Directive::Invalidate, &ProcSet::empty()));
+        assert_eq!(c.log_len(), 0);
     }
 
     #[test]
@@ -413,11 +400,11 @@ mod tests {
             Directive::Invalidate,
             &ProcSet::from_mask(0b100),
         ));
-        assert!(c.pending_for(0).is_empty());
-        assert!(c.pending_for(1).is_empty());
-        let p2 = c.pending_for(2);
-        assert_eq!(p2.len(), 1);
-        assert_eq!(p2[0].vpn, 4);
+        assert!(drain_as(&c, 0).is_empty());
+        assert!(drain_as(&c, 1).is_empty());
+        assert_eq!(c.log_len(), 1, "a non-target's drain leaves it logged");
+        assert_eq!(drain_as(&c, 2), vec![(4, Directive::Invalidate)]);
+        assert_eq!(c.log_len(), 0);
     }
 
     #[test]
@@ -425,12 +412,12 @@ mod tests {
         let c = Cmap::with_shards(DEFAULT_SHARDS, 128);
         let m = CmapMsg::new(7, Directive::Invalidate, &ProcSet::single(100));
         c.post(Arc::clone(&m));
-        assert!(c.pending_for(0).is_empty());
-        let q = c.pending_for(100);
-        assert_eq!(q.len(), 1);
-        m.ack(100, 9);
-        assert!(c.pending_for(100).is_empty());
-        assert_eq!(m.ack_time(), 9);
+        assert!(drain_as(&c, 0).is_empty());
+        assert_eq!(c.pending_count(100), 1);
+        assert_eq!(drain_as(&c, 100), vec![(7, Directive::Invalidate)]);
+        assert!(!m.has_pending());
+        assert!(drain_as(&c, 100).is_empty());
+        assert_eq!(c.log_len(), 0);
     }
 
     #[test]
@@ -439,10 +426,53 @@ mod tests {
         let m = CmapMsg::new(9, Directive::RestrictToRead, &ProcSet::from_mask(0b11));
         c.post(Arc::clone(&m));
         // Target 1 somehow applied the change before draining (e.g. the
-        // mapping was torn down); its queue must not re-deliver.
-        m.ack(1, 10);
-        assert!(c.pending_for(1).is_empty());
-        assert_eq!(c.pending_for(0).len(), 1);
+        // mapping was torn down); the log must not re-deliver.
+        m.ack(1);
+        assert!(drain_as(&c, 1).is_empty());
+        assert_eq!(drain_as(&c, 0), vec![(9, Directive::RestrictToRead)]);
+        assert_eq!(c.log_len(), 0);
+    }
+
+    #[test]
+    fn directives_for_one_vpn_apply_in_post_order() {
+        let c = Cmap::new();
+        let both = ProcSet::from_mask(0b110);
+        c.post(CmapMsg::new(3, Directive::RestrictToRead, &both));
+        c.post(CmapMsg::new(3, Directive::Invalidate, &both));
+        let order = vec![(3, Directive::RestrictToRead), (3, Directive::Invalidate)];
+        assert_eq!(drain_as(&c, 2), order);
+        assert_eq!(drain_as(&c, 1), order);
+    }
+
+    #[test]
+    fn suspended_target_bounds_the_log() {
+        // Processor 3 is suspended and never drains; processors 0, 1 and
+        // 2 keep posting to each other (and now and then to 3) and
+        // draining. The log holds 3's pending messages and at most the
+        // few the active targets have not yet applied, never the
+        // acknowledged history.
+        let c = Cmap::new();
+        let mut max_extra = 0;
+        for i in 0..10_000u64 {
+            let from = (i % 3) as usize;
+            let mut targets = ProcSet::from_mask(0b0111).without(from);
+            if i % 100 == 0 {
+                targets.insert(3);
+            }
+            c.post(CmapMsg::new(i, Directive::Invalidate, &targets));
+            let to = (from + 1) % 3;
+            drain_as(&c, to);
+            max_extra = max_extra.max(c.log_len() - c.pending_count(3));
+        }
+        assert_eq!(c.pending_count(3), 100);
+        assert!(max_extra <= 2, "log kept {max_extra} acknowledged messages");
+        // On resume it applies them in post order.
+        let vpns: Vec<Vpn> = drain_as(&c, 3).into_iter().map(|(v, _)| v).collect();
+        assert_eq!(vpns, (0..100).map(|k| k * 100).collect::<Vec<_>>());
+        for p in 0..3 {
+            drain_as(&c, p);
+        }
+        assert_eq!(c.log_len(), 0);
     }
 
     #[test]

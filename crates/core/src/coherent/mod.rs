@@ -4,7 +4,7 @@
 //! * [`cpage`] — coherent pages, their four-state protocol, and the
 //!   directory of physical copies (the Cpage system of §2.3),
 //! * [`cmap`] — per-space Cmap entries, reference masks, and the
-//!   shootdown message queues (the Cmap system of §2.3),
+//!   shootdown message log (the Cmap system of §2.3),
 //! * [`policy`] — the replication policy family (§4.2),
 //! * `fault` — the coherent page fault handler (§3.3),
 //! * `shootdown` — the NUMA shootdown mechanism (§3.1),

@@ -1,12 +1,12 @@
 //! Per-processor scratch pools for the fault slow path.
 //!
 //! The fault handler's steady state used to allocate on every trip: a
-//! `Vec` of posted shootdown messages, an `Arc<CmapMsg>` per directive, a
-//! `Vec` clone when draining the message queue, and a `Vec` of dying
-//! frames during reclamation. None of those allocations carried state
-//! across faults, so each [`UserCtx`] now owns one [`FaultScratch`] and
-//! the slow path recycles its buffers instead — zero steady-state heap
-//! traffic (pinned by the `alloc_free` regression test).
+//! `Vec` of posted shootdown messages, an `Arc<CmapMsg>` per directive,
+//! and a `Vec` of dying frames during reclamation. None of those
+//! allocations carried state across faults, so each [`UserCtx`] now owns
+//! one [`FaultScratch`] and the slow path recycles its buffers instead —
+//! zero steady-state heap traffic (pinned by the `alloc_free` regression
+//! test).
 //!
 //! Buffers are handed out with `mem::take` and restored afterwards, so a
 //! re-entrant use (a fault nested inside a drain, say) degrades to a
@@ -20,10 +20,11 @@ use crate::coherent::cmap::{CmapMsg, Directive};
 use crate::coherent::shootdown::ShootdownBatch;
 use numa_machine::{PhysPage, ProcSet, Vpn};
 
-/// Upper bound on pooled messages per processor. The steady state cycles
-/// through two entries (the queue's retain-compaction holds the previous
-/// message until the next post); the headroom covers multi-binding pages
-/// and batched multi-page shootdowns without growing the pool forever.
+/// Upper bound on pooled messages per processor. A message comes back to
+/// the pool once its batch has flushed and the drain of its last target
+/// has dropped it from the Cmap log, so a ping-pong reuses one entry; the
+/// headroom covers multi-binding pages, batched multi-page shootdowns and
+/// targets that stay suspended, without growing the pool forever.
 const MSG_POOL_CAP: usize = 32;
 
 /// One processor's reusable slow-path buffers.
@@ -31,8 +32,6 @@ const MSG_POOL_CAP: usize = 32;
 pub(crate) struct FaultScratch {
     /// The in-flight shootdown batch (posted messages + accounting).
     pub(crate) batch: ShootdownBatch,
-    /// Drain buffer for pending Cmap messages.
-    pub(crate) drained: Vec<Arc<CmapMsg>>,
     /// Reclamation buffer for the frames a directory update frees.
     pub(crate) dying: Vec<PhysPage>,
     /// Recycled shootdown messages; see [`FaultScratch::alloc_msg`].
@@ -43,10 +42,10 @@ impl FaultScratch {
     /// Produces a shootdown message, reusing a pooled one when possible.
     ///
     /// A pooled message is reusable exactly when this processor holds the
-    /// only reference (`Arc::get_mut` succeeds): every target queue has
-    /// compacted its clone away and no waiter still watches it, so the
-    /// acknowledged message can be rewritten in place. Otherwise a fresh
-    /// message is allocated and remembered for next time.
+    /// only reference (`Arc::get_mut` succeeds): the Cmap log dropped it
+    /// when its last target applied it and no waiter still watches it, so
+    /// the acknowledged message can be rewritten in place. Otherwise a
+    /// fresh message is allocated and remembered for next time.
     pub(crate) fn alloc_msg(
         &mut self,
         vpn: Vpn,

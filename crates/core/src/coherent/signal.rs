@@ -113,15 +113,16 @@ impl LoadedSignal {
 /// shootdown target.
 ///
 /// Orderings carry the protocol's Dekker-style handshake (§3.1): a
-/// target *activates, then drains* its message queue; an initiator
-/// *posts, then checks* activity. Whichever side's queue-mutex critical
-/// section runs second sees the other's effect, provided the activity
-/// word itself is sequentially consistent — if the target's drain ran
-/// before the post, the queue mutex orders the target's earlier
-/// `set_active` before the initiator's `is_active` load, so the
-/// initiator sees the target as active and interrupts it; otherwise the
-/// drain runs after the post and finds the message in the queue. Either
-/// way the directive is never missed.
+/// target *activates, then drains* the space's Cmap message log; an
+/// initiator *posts* to that log, *then checks* activity. Post and drain
+/// both run under the one log mutex, so whichever critical section runs
+/// second sees the other's effect, provided the activity word itself is
+/// sequentially consistent — if the target's drain ran before the post,
+/// the log mutex orders the target's earlier `set_active` before the
+/// initiator's `is_active` load, so the initiator sees the target as
+/// active and interrupts it; otherwise the drain runs after the post and
+/// finds the message in the log. Either way the directive is never
+/// missed.
 #[derive(Debug, Default)]
 pub struct ActiveSpace {
     word: AtomicU64,

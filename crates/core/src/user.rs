@@ -200,22 +200,13 @@ impl UserCtx {
 
     /// The Cmap synchronization handler: applies pending mapping-change
     /// messages for the active space to this processor's Pmap and ATC,
-    /// then acknowledges them.
+    /// then acknowledges them — in place, under the Cmap's log lock.
     pub(crate) fn drain_messages(&mut self) {
         let me = self.core.id();
         let space_id = self.space.id();
-        let mut msgs = std::mem::take(&mut self.scratch.drained);
-        self.space.cmap().pending_for_into(me, &mut msgs);
-        if msgs.is_empty() {
-            self.scratch.drained = msgs;
-            return;
-        }
-        let span = self.kernel.hostprof.begin();
-        // One count per message applied: deterministic however a batched
-        // initiator's posts group into doorbell services.
-        self.core.counters_mut().ipis_handled += msgs.len() as u64;
         let apply_ns = self.kernel.config().costs.apply_msg_ns;
-        for m in &msgs {
+        let span = self.kernel.hostprof.begin();
+        let applied = self.space.cmap().drain(me, |m| {
             let code = match m.directive {
                 Directive::Invalidate => 0,
                 Directive::InvalidateModules(_) => 1,
@@ -246,7 +237,6 @@ impl UserCtx {
                 }
             }
             self.core.charge(apply_ns);
-            m.ack(me, self.core.vtime());
             self.kernel.record(
                 me,
                 self.core.vtime(),
@@ -255,9 +245,10 @@ impl UserCtx {
                 m.vpn,
                 0,
             );
-        }
-        msgs.clear();
-        self.scratch.drained = msgs;
+        });
+        // One count per message applied: deterministic however a batched
+        // initiator's posts group into doorbell services.
+        self.core.counters_mut().ipis_handled += applied;
         self.kernel
             .hostprof
             .end(crate::hostprof::HostPhase::Directory, span);

@@ -8,28 +8,53 @@
 //! pools warm up. This binary installs a counting global allocator
 //! (which is why the test lives alone in its own integration target) and
 //! pins the property down: after a warm-up phase, a long migration
-//! ping-pong between two processors must allocate nothing at all.
+//! ping-pong between two processors, and a round-robin over sixteen
+//! processors whose every shootdown has fifteen targets, must allocate
+//! nothing at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
 use platinum::{Kernel, KernelConfig, PlatinumPolicy, Rights};
 
 struct Counting;
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocation count of the calling thread, read through an atomic
+/// counter's `load` signature. Each test drives every processor of its
+/// machine from its own thread, so counting per thread keeps the tests
+/// of this binary, and the harness thread reporting them, out of each
+/// other's measurements.
+struct PerThread;
+
+impl PerThread {
+    fn load(&self, _: Ordering) -> u64 {
+        THREAD_ALLOCS.with(Cell::get)
+    }
+}
+
+static ALLOCS: PerThread = PerThread;
+
+fn count() {
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         unsafe { System.dealloc(p, l) }
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(p, l, n) }
     }
 }
@@ -91,5 +116,62 @@ fn steady_state_fault_path_is_allocation_free() {
         0,
         "steady-state fault path allocated {} times over 8192 faults",
         after - before
+    );
+}
+
+#[test]
+fn sixteen_way_round_robin_is_allocation_free() {
+    const PROCS: usize = 16;
+    let machine = Machine::new(MachineConfig {
+        nodes: PROCS,
+        frames_per_node: 64,
+        skew_window_ns: None,
+        fast_path: true,
+        ..MachineConfig::default()
+    })
+    .unwrap();
+    let kernel = Kernel::with_config(
+        machine,
+        Box::new(PlatinumPolicy {
+            t1_ns: 0,
+            ..PlatinumPolicy::paper_default()
+        }),
+        KernelConfig::default(),
+    );
+    let space = kernel.create_space();
+    let object = kernel.create_object(1);
+    let va = space.map_anywhere(object, Rights::RW).unwrap();
+    let mut ctxs: Vec<_> = (0..PROCS)
+        .map(|p| kernel.attach(Arc::clone(&space), p, 0).unwrap())
+        .collect();
+    for c in ctxs.iter_mut().skip(1) {
+        c.suspend();
+    }
+
+    // One turn: the writer faults and invalidates every peer, which
+    // keeps its reference bit while suspended, so after the first lap
+    // each message has fifteen targets and each resume applies fifteen.
+    let mut turn = |k: usize| {
+        let i = k % PROCS;
+        ctxs[i].write(va, k as u32);
+        ctxs[(i + 1) % PROCS].resume();
+        ctxs[i].suspend();
+    };
+
+    for k in 0..32 * PROCS {
+        turn(k);
+    }
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for k in 32 * PROCS..288 * PROCS {
+        turn(k);
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state 16-way round-robin allocated {} times over {} faults",
+        after - before,
+        256 * PROCS
     );
 }
