@@ -5,9 +5,11 @@
 //!
 //! One execution + five replays per application — the comparison is over
 //! *identical* reference streams, so differences are attributable to the
-//! policy alone. The PLATINUM replay doubles as a self-check: it must
-//! reproduce the live capture run bit for bit, and on gauss the Fig. 1
-//! ordering (coherent < local-only < remote-only) is asserted.
+//! policy alone. Every replay doubles as a self-check: each policy's
+//! single-thread replay must equal the threaded reference replay bit for
+//! bit, the PLATINUM replay must also reproduce the live capture run, and
+//! on gauss the Fig. 1 ordering (coherent < local-only < remote-only) is
+//! asserted.
 //!
 //! ```text
 //! cargo run --release --bin policy_matrix
@@ -36,7 +38,7 @@ use platinum_apps::capture::{
 use platinum_apps::gauss::GaussConfig;
 use platinum_apps::mergesort::SortConfig;
 use platinum_apps::neural::NeuralConfig;
-use platinum_reftrace::{replay_many_with, replay_par_cfg, replay_with};
+use platinum_reftrace::{replay_many_with, replay_par_cfg, replay_with, ReplayOutcome};
 use platinum_server::{KvConfig, TrafficConfig};
 
 use crate::Args;
@@ -52,8 +54,9 @@ struct Row {
     replications: u64,
     migrations: u64,
     remote_maps: u64,
-    /// PLATINUM rows only: replay reproduced the live run exactly.
-    bit_identical: Option<bool>,
+    /// The replay equalled the threaded reference replay (and, on the
+    /// PLATINUM row, the live run) exactly.
+    bit_identical: bool,
     /// PLATINUM rows only: elapsed time of the same trace replayed with
     /// replicated page tables (`PtablePlacement::ReplicatedOnFault`)
     /// instead of the centralized default — the replicated-vs-centralized
@@ -72,17 +75,40 @@ fn remote_ratio(run: &platinum_runtime::measure::RunStats) -> f64 {
     }
 }
 
+/// Whether two replays agree bit for bit: every phase's per-worker
+/// clocks and counters, and the kernel statistics.
+fn same_replay(a: &ReplayOutcome, b: &ReplayOutcome) -> bool {
+    a.phases.len() == b.phases.len()
+        && a.phases.iter().zip(&b.phases).all(|(x, y)| {
+            x.stats
+                .workers
+                .iter()
+                .zip(&y.stats.workers)
+                .all(|(u, v)| u.vtime_ns == v.vtime_ns && u.counters == v.counters)
+        })
+        && a.kernel == b.kernel
+}
+
 /// Replays `captured` under every Fig. 1 policy — concurrently, one host
-/// thread per policy — and returns the rows, asserting PLATINUM
-/// bit-identity of the parallel replay against both the live run and a
-/// serial replay.
+/// thread per policy — and returns the rows, asserting that each replay
+/// equals the threaded reference replay and that the PLATINUM replay
+/// equals the live run.
 fn sweep(app: &str, captured: &CapturedRun, topo: Option<&Topology>) -> Vec<Row> {
     let mut rows = Vec::new();
     let outs = replay_many_with(&captured.trace, &PolicyKind::FIG1_SET, topo);
     for (kind, out) in PolicyKind::FIG1_SET.into_iter().zip(outs) {
         let last = out.phases.last().expect("trace has a measured phase");
-        let bit_identical = if kind == PolicyKind::Platinum {
-            let same_as_live = last
+        let serial = replay_with(&captured.trace, kind, topo);
+        let mut bit_identical = same_replay(&serial, &out);
+        assert!(
+            bit_identical,
+            "{app}: {} replay diverged from the threaded replay ({} ns vs {} ns)",
+            kind.name(),
+            out.measured_elapsed_ns(),
+            serial.measured_elapsed_ns(),
+        );
+        if kind == PolicyKind::Platinum {
+            bit_identical = last
                 .stats
                 .workers
                 .iter()
@@ -90,28 +116,13 @@ fn sweep(app: &str, captured: &CapturedRun, topo: Option<&Topology>) -> Vec<Row>
                 .all(|(r, l)| r.vtime_ns == l.vtime_ns && r.counters == l.counters)
                 && out.kernel == captured.live.kernel_stats;
             assert!(
-                same_as_live,
-                "{app}: parallel PLATINUM replay diverged from the live \
+                bit_identical,
+                "{app}: PLATINUM replay diverged from the live \
                  run (replay {} ns vs live {} ns)",
                 last.stats.elapsed_ns(),
                 captured.live.elapsed_ns,
             );
-            let serial = replay_with(&captured.trace, kind, topo);
-            let same_as_serial = serial.phases.iter().zip(&out.phases).all(|(a, b)| {
-                a.stats
-                    .workers
-                    .iter()
-                    .zip(&b.stats.workers)
-                    .all(|(x, y)| x.vtime_ns == y.vtime_ns && x.counters == y.counters)
-            }) && serial.kernel == out.kernel;
-            assert!(
-                same_as_serial,
-                "{app}: parallel PLATINUM replay diverged from the serial replay"
-            );
-            Some(same_as_live && same_as_serial)
-        } else {
-            None
-        };
+        }
         // The replicated-page-table column: replay the identical stream
         // once more under ReplicatedOnFault. The trace was captured with
         // centralized tables, so live-vs-replay identity cannot hold
@@ -123,15 +134,8 @@ fn sweep(app: &str, captured: &CapturedRun, topo: Option<&Topology>) -> Vec<Row>
             ));
             let a = replay_par_cfg(&captured.trace, kind, topo, cfg);
             let b = replay_par_cfg(&captured.trace, kind, topo, cfg);
-            let deterministic = a.phases.iter().zip(&b.phases).all(|(x, y)| {
-                x.stats
-                    .workers
-                    .iter()
-                    .zip(&y.stats.workers)
-                    .all(|(u, v)| u.vtime_ns == v.vtime_ns && u.counters == v.counters)
-            }) && a.kernel == b.kernel;
             assert!(
-                deterministic,
+                same_replay(&a, &b),
                 "{app}: two replicated-ptable replays diverged ({} ns vs {} ns)",
                 a.measured_elapsed_ns(),
                 b.measured_elapsed_ns(),
@@ -172,9 +176,10 @@ fn markdown(rows: &[Row]) -> String {
     );
     s.push_str("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|\n");
     for r in rows {
-        let check = match r.bit_identical {
-            Some(true) => " *(= live run)*",
-            _ => "",
+        let check = if r.bit_identical && r.policy == PolicyKind::Platinum.name() {
+            " *(= live run)*"
+        } else {
+            ""
         };
         let ptable = match r.ptable_replicated_ns {
             Some(ns) => format!("{:.3}", ns as f64 / 1e6),
@@ -219,7 +224,8 @@ fn json(
             s,
             "{{\"app\":\"{}\",\"policy\":\"{}\",\"elapsed_ns\":{},\
              \"remote_ratio\":{:.6},\"freezes\":{},\"defrost_runs\":{},\
-             \"replications\":{},\"migrations\":{},\"remote_maps\":{}",
+             \"replications\":{},\"migrations\":{},\"remote_maps\":{},\
+             \"bit_identical\":{}",
             r.app,
             r.policy,
             r.elapsed_ns,
@@ -229,10 +235,8 @@ fn json(
             r.replications,
             r.migrations,
             r.remote_maps,
+            r.bit_identical,
         );
-        if let Some(b) = r.bit_identical {
-            let _ = write!(s, ",\"bit_identical\":{b}");
-        }
         if let Some(ns) = r.ptable_replicated_ns {
             let _ = write!(s, ",\"ptable_replicated_ns\":{ns}");
         }

@@ -1,5 +1,6 @@
 //! Cmap entries and the shootdown message log (§2.3 of the paper).
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -241,10 +242,14 @@ impl Cmap {
     }
 
     /// Inserts an entry for `vpn`, returning the entry actually in the
-    /// table (the existing one if another processor raced the insert).
-    pub fn insert(&self, vpn: Vpn, entry: CmapEntry) -> Arc<CmapEntry> {
+    /// table (the existing one if another processor raced the insert) and
+    /// whether this call created it.
+    pub fn insert(&self, vpn: Vpn, entry: CmapEntry) -> (Arc<CmapEntry>, bool) {
         let mut map = self.shard(vpn).write();
-        Arc::clone(map.entry(vpn).or_insert_with(|| Arc::new(entry)))
+        match map.entry(vpn) {
+            Entry::Occupied(e) => (Arc::clone(e.get()), false),
+            Entry::Vacant(v) => (Arc::clone(v.insert(Arc::new(entry))), true),
+        }
     }
 
     /// Removes and returns the entry for `vpn` (unmap).
@@ -478,8 +483,9 @@ mod tests {
     #[test]
     fn insert_race_returns_existing() {
         let c = Cmap::new();
-        let a = c.insert(9, c.make_entry(CpageId(1), Rights::RO));
-        let b = c.insert(9, c.make_entry(CpageId(2), Rights::RW));
+        let (a, created_a) = c.insert(9, c.make_entry(CpageId(1), Rights::RO));
+        let (b, created_b) = c.insert(9, c.make_entry(CpageId(2), Rights::RW));
+        assert!(created_a && !created_b, "only the first insert creates");
         assert!(Arc::ptr_eq(&a, &b), "second insert must not replace");
         assert_eq!(b.cpage, CpageId(1));
         assert!(c.remove(9).is_some());

@@ -120,27 +120,36 @@ impl Kernel {
     fn vm_fault(&self, ctx: &mut UserCtx, va: Va) -> Result<Arc<CmapEntry>> {
         let costs = &self.config().costs;
         ctx.core.charge(costs.vm_fault_ns);
-        self.record(
-            ctx.core.id(),
-            ctx.core.vtime(),
-            EventKind::VmFault,
-            0,
-            va,
-            0,
-        );
+        let record = |ctx: &UserCtx| {
+            self.record(
+                ctx.core.id(),
+                ctx.core.vtime(),
+                EventKind::VmFault,
+                0,
+                va,
+                0,
+            )
+        };
         let space = Arc::clone(ctx.space());
         let vpn = space.vpn_of(va);
-        let region = space
-            .region_for(vpn)
-            .ok_or(KernelError::Access(AccessErr::BusError(va)))?;
+        let Some(region) = space.region_for(vpn) else {
+            record(ctx);
+            return Err(KernelError::Access(AccessErr::BusError(va)));
+        };
         // First touch homes the page's metadata on the touching node.
         let cpage_id =
             region
                 .object
                 .cpage_for(region.object_page(vpn), &self.cpages, ctx.core.id());
-        let entry = space
+        let (entry, created) = space
             .cmap()
             .insert(vpn, space.cmap().make_entry(cpage_id, region.rights));
+        // Two first touches can race to here. Both paid the VM fault, but
+        // only the one that created the entry records it, so the count
+        // does not depend on the host schedule.
+        if created {
+            record(ctx);
+        }
         // Record the binding so protocol shootdowns reach every address
         // space this page is mapped in (§3.1).
         let cpage = self.cpages.get(cpage_id).expect("fresh cpage exists");

@@ -31,6 +31,7 @@
 //! events) to the same pages shot down one at a time. The proptests at
 //! the bottom of this file pin that equivalence down.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use numa_machine::{AccessKind, PhysPage, ProcSet};
@@ -345,13 +346,24 @@ impl Kernel {
         // dragged to the target's (skewed) clock. Waiting once for many
         // pages is therefore observation-equivalent to waiting after
         // each, and it overlaps every target's handler with every other's.
+        //
+        // A parked target (`Kernel::park`) has no thread to ack from, so
+        // the initiator runs its handler here, in place; a run that never
+        // parks pays one relaxed load per iteration for that.
         let mut rounds = 0u32;
         for (msg, awaited) in &batch.posted {
-            let mut spins = 0u32;
-            if msg.pending_intersects(awaited) {
-                rounds = 1;
+            if !msg.pending_intersects(awaited) {
+                continue;
             }
-            while msg.pending_intersects(awaited) {
+            rounds = 1;
+            let mut spins = 0u32;
+            loop {
+                if self.parked_count.load(Ordering::Relaxed) != 0 {
+                    self.ack_parked(awaited);
+                }
+                if !msg.pending_intersects(awaited) {
+                    break;
+                }
                 if ctx.core.take_ipi() {
                     ctx.drain_messages();
                 }
@@ -473,7 +485,9 @@ mod tests {
     /// A randomized shootdown scenario: which processors read which
     /// pages beforehand (the reference masks), which targets are
     /// suspended during the shootdown (lazy application) vs. active
-    /// (interrupted and awaited), which distinct pages are shot down in
+    /// (interrupted and awaited), which of the active targets are parked
+    /// in the kernel (acked in place by the initiator) rather than served
+    /// by a thread of their own, which distinct pages are shot down in
     /// what order, and with which directive and shootdown mode.
     #[derive(Clone, Debug)]
     struct Scenario {
@@ -481,6 +495,7 @@ mod tests {
         pages: usize,
         readers: Vec<u64>,
         suspended: u64,
+        parked: u64,
         shoot: Vec<usize>,
         restrict: bool,
         mach_mode: bool,
@@ -522,11 +537,18 @@ mod tests {
                 pages,
                 readers,
                 suspended: suspended & pmask & !1,
+                parked: 0,
                 shoot: dedup,
                 restrict,
                 mach_mode,
                 inject_seed,
             }
+        }
+
+        /// The same scenario with the active targets in `mask` parked.
+        fn with_parked(mut self, mask: u64) -> Self {
+            self.parked = mask & ((1u64 << self.procs) - 1) & !1 & !self.suspended;
+            self
         }
     }
 
@@ -548,7 +570,8 @@ mod tests {
     /// coalesced batch or one page at a time, and returns the combined
     /// observation. Setup (mapping, replication reads, suspensions) is
     /// identical single-threaded code in both modes; active targets ack
-    /// from real service threads, as in a live run.
+    /// from real service threads, as in a live run, except parked ones,
+    /// which the initiator acks in place.
     fn run(sc: &Scenario, batched: bool) -> Obs {
         let machine = Machine::new(MachineConfig {
             nodes: sc.procs,
@@ -585,14 +608,23 @@ mod tests {
             .map(|p| Some(kernel.attach(Arc::clone(&space), p, 0).unwrap()))
             .collect();
 
-        // Replication sweep in deterministic processor-major order.
-        for (p, slot) in ctxs.iter_mut().enumerate() {
-            let ctx = slot.as_mut().unwrap();
+        // Replication sweep in deterministic processor-major order. The
+        // contexts not reading are parked, so a shootdown the sweep
+        // triggers (an injected transfer error can) is acked in place.
+        for slot in ctxs.iter_mut() {
+            kernel.park(slot.take().unwrap());
+        }
+        for p in 0..sc.procs {
+            let mut ctx = kernel.unpark(p).unwrap();
             for (i, &mask) in sc.readers.iter().enumerate() {
                 if mask & (1u64 << p) != 0 {
                     ctx.read(page_va(i));
                 }
             }
+            kernel.park(ctx);
+        }
+        for (p, slot) in ctxs.iter_mut().enumerate() {
+            *slot = kernel.unpark(p);
         }
         for p in procs_in_mask(sc.suspended) {
             ctxs[p].as_mut().unwrap().suspend();
@@ -604,8 +636,11 @@ mod tests {
             Directive::Invalidate
         };
         let mut ctx0 = ctxs[0].take().unwrap();
+        for p in procs_in_mask(sc.parked) {
+            kernel.park(ctxs[p].take().unwrap());
+        }
         let mut movers: Vec<(usize, UserCtx)> = (1..sc.procs)
-            .filter(|p| sc.suspended & (1u64 << p) == 0)
+            .filter(|p| (sc.suspended | sc.parked) & (1u64 << p) == 0)
             .map(|p| (p, ctxs[p].take().unwrap()))
             .collect();
 
@@ -689,6 +724,9 @@ mod tests {
             outcome
         });
         ctxs[0] = Some(ctx0);
+        for p in procs_in_mask(sc.parked) {
+            ctxs[p] = Some(kernel.unpark(p).expect("parked above"));
+        }
 
         // Suspended targets apply the queued directives on resume.
         for p in procs_in_mask(sc.suspended) {
@@ -747,6 +785,54 @@ mod tests {
         Ok(())
     }
 
+    /// Parked targets are acked in place by the initiator; everything
+    /// observable must match the run where they ack from their own
+    /// service threads, whether the pages go as a batch or one at a time.
+    fn assert_parking_equivalent(sc: &Scenario) -> Result<(), TestCaseError> {
+        let threads = Scenario {
+            parked: 0,
+            ..sc.clone()
+        };
+        for batched in [false, true] {
+            let served = run(&threads, batched);
+            let parked = run(sc, batched);
+            prop_assert_eq!(
+                &parked.vtimes,
+                &served.vtimes,
+                "virtual times diverged: {:?}",
+                sc
+            );
+            prop_assert_eq!(
+                &parked.counters,
+                &served.counters,
+                "access counters diverged: {:?}",
+                sc
+            );
+            prop_assert_eq!(
+                &parked.stats,
+                &served.stats,
+                "kernel counters diverged: {:?}",
+                sc
+            );
+            prop_assert_eq!(
+                &parked.refs,
+                &served.refs,
+                "directory refs diverged: {:?}",
+                sc
+            );
+            prop_assert_eq!(
+                &parked.events,
+                &served.events,
+                "trace events diverged: {:?}",
+                sc
+            );
+            prop_assert_eq!(parked.outcome.ipis, served.outcome.ipis);
+            prop_assert_eq!(parked.outcome.targets, served.outcome.targets);
+            prop_assert_eq!(parked.outcome.escalated, served.outcome.escalated);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -790,6 +876,31 @@ mod tests {
                 procs, pages, readers, suspended, shoot, false, false, Some(seed),
             );
             assert_equivalent(&sc)?;
+        }
+
+        /// A third target class: processors parked in the kernel, with no
+        /// thread of their own, acked in place by the initiator. Mixed
+        /// with suspended and thread-served targets, across both
+        /// shootdown modes and with dropped-ack injection, parking leaves
+        /// every observable as the service-thread run has it.
+        #[test]
+        fn parked_targets_match_service_threads(
+            procs in 2usize..5,
+            pages in 1usize..7,
+            readers in proptest::collection::vec(any::<u64>(), 1..7),
+            suspended in any::<u64>(),
+            parked in any::<u64>(),
+            shoot in proptest::collection::vec(any::<u64>(), 1..10),
+            restrict in any::<bool>(),
+            mach_mode in any::<bool>(),
+            inject in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let sc = Scenario::normalize(
+                procs, pages, readers, suspended, shoot, restrict, mach_mode, inject.then_some(seed),
+            )
+            .with_parked(parked);
+            assert_parking_equivalent(&sc)?;
         }
     }
 }

@@ -1,11 +1,11 @@
 //! The kernel object: registries, configuration, and processor slots.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use numa_machine::{Machine, ProcCore};
+use numa_machine::{Machine, ProcCore, ProcSet};
 use platinum_faults::FaultPlan;
 use platinum_ptable::{PtableConfig, WalkSnapshot, WalkStats};
 use platinum_trace::{EventKind, Tracer};
@@ -117,6 +117,14 @@ pub struct Kernel {
     spaces: RwLock<Vec<Arc<AddressSpace>>>,
     ports: RwLock<Vec<Arc<Port>>>,
     pub(crate) slots: Box<[ProcSlot]>,
+    /// Contexts parked with [`Kernel::park`], one slot per processor.
+    /// Kept apart from `slots`, whose dense activity words every
+    /// shootdown post scans per target.
+    parked: Box<[Mutex<Option<UserCtx>>]>,
+    /// How many `parked` slots hold a context. Shootdown waits read it
+    /// with one relaxed load per iteration and touch `parked` only when
+    /// it is nonzero, so runs that never park pay nothing else.
+    pub(crate) parked_count: AtomicUsize,
     pub(crate) stats: KernelStats,
     pub(crate) defrost: DefrostState,
     pub(crate) reclaim: ReclaimState,
@@ -164,6 +172,7 @@ impl Kernel {
             .into_boxed_slice();
         let defrost = DefrostState::new(cfg.t2_defrost_ns);
         let reclaim = ReclaimState::new(machine.nprocs());
+        let parked = (0..machine.nprocs()).map(|_| Mutex::new(None)).collect();
         Arc::new(Self {
             machine,
             cfg,
@@ -173,6 +182,8 @@ impl Kernel {
             spaces: RwLock::new(Vec::new()),
             ports: RwLock::new(Vec::new()),
             slots,
+            parked,
+            parked_count: AtomicUsize::new(0),
             stats: KernelStats::default(),
             defrost,
             reclaim,
@@ -299,6 +310,48 @@ impl Kernel {
         }
         let core = ProcCore::new(Arc::clone(&self.machine), proc, start_vtime);
         Ok(UserCtx::new(Arc::clone(self), core, space))
+    }
+
+    /// Parks `ctx` in the kernel. Its processor stays attached and its
+    /// space stays active, so shootdowns interrupt and await it exactly as
+    /// they would a thread spinning on its doorbell; having no thread of
+    /// its own, it is acknowledged in place by each initiator that awaits
+    /// it ([`Kernel::batch_flush`] drains its messages on the initiator's
+    /// host thread, charged to the parked processor's own clock).
+    ///
+    /// This lets one host thread drive many processors in a fixed order:
+    /// it parks every context but the running one. A parked context holds
+    /// an `Arc` to its kernel, so every one must be [`Kernel::unpark`]ed
+    /// before the kernel can be freed.
+    pub fn park(&self, ctx: UserCtx) {
+        let mut slot = self.parked[ctx.core.id()].lock();
+        debug_assert!(slot.is_none(), "one context per processor");
+        *slot = Some(ctx);
+        self.parked_count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Takes back the context parked for `proc`, if any.
+    pub fn unpark(&self, proc: usize) -> Option<UserCtx> {
+        let ctx = self.parked[proc].lock().take();
+        if ctx.is_some() {
+            self.parked_count.fetch_sub(1, Ordering::Relaxed);
+        }
+        ctx
+    }
+
+    /// Acknowledges, in place, every parked processor in `awaited`: the
+    /// same doorbell service a spinning target runs. A slot another
+    /// initiator is servicing is skipped; the caller's wait loop comes
+    /// back for it. Deadlock-free because a drain takes only the Cmap's
+    /// log mutex and directory shard read locks, never a Cpage lock.
+    pub(crate) fn ack_parked(&self, awaited: &ProcSet) {
+        for p in awaited.iter() {
+            if let Some(mut slot) = self.parked[p].try_lock() {
+                if let Some(ctx) = slot.as_mut() {
+                    ctx.service_ipis();
+                }
+            }
+        }
     }
 
     /// A snapshot of one thread's kernel state.

@@ -29,7 +29,8 @@ use crate::vm::space::AddressSpace;
 /// kernel entry points (ports, migration, explicit thaw).
 ///
 /// Exactly one `UserCtx` exists per processor at a time, driven by one OS
-/// thread; it is created by [`Kernel::attach`].
+/// thread or parked in the kernel ([`Kernel::park`]); it is created by
+/// [`Kernel::attach`].
 pub struct UserCtx {
     pub(crate) kernel: Arc<Kernel>,
     pub(crate) core: ProcCore,

@@ -3,15 +3,22 @@
 //!
 //! Replay reconstructs the capture machine (same node count, frame depth,
 //! page size, zone layout), boots a kernel with the requested
-//! [`PolicyKind`], and drives real per-processor threads through the
-//! recorded op list *in exactly the recorded global order*: a shared
-//! cursor names the next op; each thread executes its own ops and spins —
-//! servicing shootdown IPIs — while it is another processor's turn. Real
-//! threads are required because the protocol is: a shootdown initiator
-//! blocks (in host time) until its targets ack, and the targets ack from
-//! their cursor-wait loops.
+//! [`PolicyKind`], and executes the recorded op list *in exactly the
+//! recorded global order*. The protocol constrains how: a shootdown
+//! initiator blocks (in host time) until every target that has the space
+//! active acks, and a processor waiting for its next op is such a target.
+//! There are two engines, bit-identical in every observable:
 //!
-//! Each op's post-execution virtual time is published in a side array so
+//! - [`replay`] is the reference. It drives real per-processor threads
+//!   through a shared cursor; each thread executes its own ops and spins,
+//!   servicing shootdown IPIs, while it is another processor's turn.
+//! - [`replay_par`] runs the whole order on the calling thread. Every
+//!   attached processor but the running one is *parked* in the kernel
+//!   ([`Kernel::park`]): it stays active, so shootdowns still interrupt
+//!   and await it, and the initiator acks it in place. No op pays a
+//!   cross-core handoff.
+//!
+//! Each op's post-execution virtual time is kept in a side array so
 //! that [`Op::AdvanceDep`] release edges can read the *replayed* producer
 //! time — under a slow policy the consumer inherits the slow release
 //! time, exactly as the application's synchronization would behave.
@@ -19,7 +26,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use numa_machine::{MachineConfig, Mem, Topology};
-use platinum::{PolicyKind, PtableConfig, StatsSnapshot, UserCtx};
+use platinum::{Kernel, PolicyKind, PtableConfig, StatsSnapshot, UserCtx};
 use platinum_runtime::measure::{RunStats, WorkerStats};
 use platinum_runtime::sim::{Sim, SimBuilder};
 
@@ -146,20 +153,20 @@ pub fn replay_cfg(
     }
 }
 
-/// Like [`replay`], but hands the op stream between worker threads once
-/// per maximal same-processor *run* instead of once per op.
+/// Like [`replay`], but executes the op stream on the calling thread, with
+/// no worker threads and no cursor.
 ///
 /// The recorded global order is load-bearing — it *is* the interleaving
 /// the capture gate picked, and the protocol state (page rights, freezes,
 /// bus buckets) evolves along it — so a replay may never reorder ops
-/// across processors. What it may do is cut the synchronization bill for
-/// honoring that order: the op list is sharded into runs of consecutive
-/// ops from one processor, the shared cursor advances once per run, and a
-/// post-time is published only for the seqs some [`Op::AdvanceDep`]
-/// actually reads (everything else synchronizes through the cursor's
-/// release/acquire chain). Per-op cross-core cursor traffic — the
-/// dominant host cost of replaying long private sweeps — collapses to
-/// one handoff per run, and block ops reuse one per-worker buffer.
+/// across processors. [`replay`] honors it with one cross-core handoff
+/// per op, which dominates its host time because the capture gate
+/// alternates processors on almost every op. This engine instead walks
+/// the list in order and, when the processor changes, parks the running
+/// context in the kernel and unparks the next one. A parked processor
+/// keeps its space active, so a shootdown interrupts and awaits it as
+/// before; the initiator runs its ack in place, charged to the parked
+/// processor's own clock.
 ///
 /// The outcome is bit-identical to [`replay`]: same virtual times, same
 /// counters, same kernel statistics (the tests and the `policy_matrix`
@@ -202,8 +209,8 @@ pub fn replay_par_cfg(
 /// Replays `trace` under each policy in `kinds` concurrently — one
 /// independent replay machine per host thread — and returns the outcomes
 /// in `kinds` order. Policies are mutually independent, so a policy
-/// tournament scales with host cores; each individual replay uses
-/// [`replay_par`] and is bit-identical to its serial counterpart.
+/// tournament scales with host cores; each individual replay runs
+/// [`replay_par`] on its own thread and is bit-identical to [`replay`].
 pub fn replay_many(trace: &RefTrace, kinds: &[PolicyKind]) -> Vec<ReplayOutcome> {
     replay_many_with(trace, kinds, None)
 }
@@ -229,146 +236,72 @@ pub fn replay_many_with(
         .collect()
 }
 
-/// The precomputed shard plan for one phase's parallel replay.
-struct ParSchedule {
-    /// Half-open `(start, end)` spans of consecutive same-processor ops.
-    /// A `Detach` always terminates its run.
-    runs: Vec<(usize, usize)>,
-    /// Bit `i` set ⇔ some `AdvanceDep` in the phase reads op `i`'s
-    /// post-time, so the executing worker must publish it.
-    needed: Vec<u64>,
-}
+/// Unparks every processor slot of a replay kernel when dropped. A parked
+/// context holds an `Arc` to its kernel, so without this a replay that
+/// unwinds mid-phase would leak the kernel and leave its processors
+/// occupied.
+struct UnparkAll<'a>(&'a Kernel);
 
-impl ParSchedule {
-    fn build(ph: &Phase) -> Self {
-        let ops = &ph.ops;
-        let mut needed = vec![0u64; ops.len().div_ceil(64)];
-        for r in ops {
-            if let Op::AdvanceDep { seq } = r.op {
-                let s = seq as usize;
-                if s < ops.len() {
-                    needed[s / 64] |= 1 << (s % 64);
-                }
-            }
+impl Drop for UnparkAll<'_> {
+    fn drop(&mut self) {
+        for p in 0..self.0.machine().nprocs() {
+            drop(self.0.unpark(p));
         }
-        let mut runs = Vec::new();
-        let mut start = 0;
-        for i in 0..ops.len() {
-            let split = i + 1 == ops.len()
-                || ops[i + 1].proc != ops[i].proc
-                || matches!(ops[i].op, Op::Detach);
-            if split {
-                runs.push((start, i + 1));
-                start = i + 1;
-            }
-        }
-        ParSchedule { runs, needed }
-    }
-
-    fn is_needed(&self, i: usize) -> bool {
-        self.needed[i / 64] >> (i % 64) & 1 == 1
     }
 }
 
+/// Replays one phase on the calling thread, in the recorded order. The
+/// running processor's context is held here; every other attached
+/// processor is parked in the kernel, where each shootdown that awaits it
+/// acknowledges it in place, exactly as its spinning worker would in
+/// [`replay`].
 fn replay_phase_par(sim: &Sim, ph: &Phase) -> PhaseOutcome {
-    let sched = ParSchedule::build(ph);
-    let cursor = AtomicUsize::new(0);
-    let post: Vec<AtomicU64> = (0..ph.ops.len()).map(|_| AtomicU64::new(0)).collect();
-    let mut out: Vec<Option<WorkerStats>> = Vec::new();
-    out.resize_with(ph.workers, || None);
-    std::thread::scope(|s| {
-        let cursor = &cursor;
-        let post = &post;
-        let sched = &sched;
-        for (p, slot) in out.iter_mut().enumerate() {
-            s.spawn(move || {
-                *slot = replay_worker_par(sim, ph, sched, p, cursor, post);
-            });
+    let kernel = &*sim.kernel;
+    let _unpark = UnparkAll(kernel);
+    let mut post = vec![0u64; ph.ops.len()];
+    let mut workers: Vec<Option<WorkerStats>> = vec![None; ph.workers];
+    let mut block_buf: Vec<u32> = Vec::new();
+    let mut running: Option<UserCtx> = None;
+    let mut running_proc = usize::MAX;
+    for (i, r) in ph.ops.iter().enumerate() {
+        let p = r.proc as usize;
+        if p != running_proc {
+            if let Some(c) = running.take() {
+                kernel.park(c);
+            }
+            running = kernel.unpark(p);
+            running_proc = p;
         }
-    });
-    let workers: Vec<WorkerStats> = out
-        .into_iter()
-        .map(|w| w.expect("replay worker reached its Detach op"))
-        .collect();
+        match r.op {
+            Op::Attach => {
+                running = Some(sim.attach(p).expect("replay claims a free processor"));
+            }
+            Op::Detach => {
+                let mut c = running.take().expect("Detach follows Attach");
+                c.service_ipis();
+                workers[p] = Some(WorkerStats {
+                    proc: p,
+                    vtime_ns: c.vtime(),
+                    counters: c.counters(),
+                });
+                post[i] = c.vtime();
+                continue;
+            }
+            op => {
+                let c = running.as_mut().expect("ops follow Attach");
+                exec(c, op, |seq| post[seq], &mut block_buf);
+            }
+        }
+        post[i] = running.as_ref().map(|c| c.vtime()).unwrap_or(0);
+    }
     PhaseOutcome {
         label: ph.label.clone(),
-        stats: RunStats { workers },
-    }
-}
-
-/// Drives processor `p` through its runs of the phase's op list, one
-/// cursor handoff per run. Returns once the worker's `Detach` executed.
-fn replay_worker_par(
-    sim: &Sim,
-    ph: &Phase,
-    sched: &ParSchedule,
-    p: usize,
-    cursor: &AtomicUsize,
-    post: &[AtomicU64],
-) -> Option<WorkerStats> {
-    let ops = &ph.ops;
-    let mut ctx: Option<UserCtx> = None;
-    let mut stats = None;
-    let mut block_buf: Vec<u32> = Vec::new();
-    loop {
-        // Wait for the cursor to reach one of our runs, acking shootdowns
-        // (we may be a target of the running op's initiator) meanwhile.
-        let r = {
-            let mut spins = 0u32;
-            loop {
-                let r = cursor.load(Ordering::Acquire);
-                if r >= sched.runs.len() {
-                    // Defensive: a malformed trace may omit our Detach.
-                    return stats;
-                }
-                if ops[sched.runs[r].0].proc as usize == p {
-                    break r;
-                }
-                if let Some(c) = ctx.as_mut() {
-                    c.service_ipis();
-                }
-                std::hint::spin_loop();
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                }
-            }
-        };
-        let (start, end) = sched.runs[r];
-        for i in start..end {
-            match ops[i].op {
-                Op::Attach => {
-                    ctx = Some(
-                        sim.attach(p)
-                            .expect("replay worker claims a free processor"),
-                    );
-                }
-                Op::Detach => {
-                    let mut c = ctx.take().expect("Detach follows Attach");
-                    c.service_ipis();
-                    stats = Some(WorkerStats {
-                        proc: p,
-                        vtime_ns: c.vtime(),
-                        counters: c.counters(),
-                    });
-                    if sched.is_needed(i) {
-                        post[i].store(c.vtime(), Ordering::Relaxed);
-                    }
-                    drop(c);
-                    cursor.store(r + 1, Ordering::Release);
-                    return stats;
-                }
-                op => {
-                    let c = ctx.as_mut().expect("ops follow Attach");
-                    exec(c, op, post, &mut block_buf);
-                }
-            }
-            if sched.is_needed(i) {
-                let v = ctx.as_ref().map(|c| c.vtime()).unwrap_or(0);
-                post[i].store(v, Ordering::Relaxed);
-            }
-        }
-        cursor.store(r + 1, Ordering::Release);
+        stats: RunStats {
+            workers: workers
+                .into_iter()
+                .map(|w| w.expect("replay worker reached its Detach op"))
+                .collect(),
+        },
     }
 }
 
@@ -455,7 +388,12 @@ fn replay_worker(
             }
             op => {
                 let c = ctx.as_mut().expect("ops follow Attach");
-                exec(c, op, post, &mut block_buf);
+                exec(
+                    c,
+                    op,
+                    |seq| post[seq].load(Ordering::Acquire),
+                    &mut block_buf,
+                );
             }
         }
         let v = ctx.as_ref().map(|c| c.vtime()).unwrap_or(0);
@@ -468,7 +406,8 @@ fn replay_worker(
 /// recorded (the protocol's behaviour and charges are value-independent),
 /// so writes store zero and atomics add zero; block ops borrow the
 /// worker's reusable scratch buffer instead of allocating per op.
-fn exec(ctx: &mut UserCtx, op: Op, post: &[AtomicU64], block_buf: &mut Vec<u32>) {
+/// `post_time(seq)` is op `seq`'s replayed post-execution virtual time.
+fn exec(ctx: &mut UserCtx, op: Op, post_time: impl Fn(usize) -> u64, block_buf: &mut Vec<u32>) {
     match op {
         Op::Read { va } => {
             ctx.read(va);
@@ -491,10 +430,7 @@ fn exec(ctx: &mut UserCtx, op: Op, post: &[AtomicU64], block_buf: &mut Vec<u32>)
             ctx.write_block(va, block_buf);
         }
         Op::Compute { ns } => ctx.compute(ns),
-        Op::AdvanceDep { seq } => {
-            let t = post[seq as usize].load(Ordering::Acquire);
-            ctx.advance_to(t);
-        }
+        Op::AdvanceDep { seq } => ctx.advance_to(post_time(seq as usize)),
         Op::AdvanceAbs { t } => ctx.advance_to(t),
         Op::SetVtime { t } => ctx.set_vtime(t),
         Op::Poll => ctx.poll(),
@@ -509,6 +445,7 @@ fn exec(ctx: &mut UserCtx, op: Op, post: &[AtomicU64], block_buf: &mut Vec<u32>)
 mod tests {
     use super::*;
     use crate::record::Capture;
+    use platinum::PtablePlacement;
     use platinum_runtime::sync::{Barrier, SpinLock};
 
     /// A small hand-written workload exercising every op kind the
@@ -600,17 +537,50 @@ mod tests {
     fn parallel_replay_is_bit_identical_to_serial_and_live() {
         let (trace, live, live_kernel) = capture_mini(3);
         let par = replay_par(&trace, PolicyKind::Platinum);
-        let serial = replay(&trace, PolicyKind::Platinum);
-        assert_same_outcome(&par, &serial);
         for (a, b) in live.workers.iter().zip(&par.phases[0].stats.workers) {
             assert_eq!(a.vtime_ns, b.vtime_ns, "proc {} vtime drifted", a.proc);
             assert_eq!(a.counters, b.counters, "proc {} counters drifted", a.proc);
         }
         assert_eq!(par.kernel, live_kernel);
-        // Off-policy replays shard identically: the run plan depends only
-        // on the trace, never on the policy under test.
-        for kind in [PolicyKind::RemoteAlways, PolicyKind::MigrateOnly] {
+        // Every Fig. 1 policy: parking and in-place acks must reproduce
+        // the threaded engine whatever the protocol does with the pages.
+        for kind in PolicyKind::FIG1_SET {
             assert_same_outcome(&replay_par(&trace, kind), &replay(&trace, kind));
+        }
+    }
+
+    #[test]
+    fn parallel_replay_matches_serial_with_replicated_page_tables() {
+        let (trace, _, _) = capture_mini(3);
+        let cfg = Some(PtableConfig::with_placement(
+            PtablePlacement::ReplicatedOnFault,
+        ));
+        for kind in PolicyKind::FIG1_SET {
+            assert_same_outcome(
+                &replay_par_cfg(&trace, kind, None, cfg),
+                &replay_cfg(&trace, kind, None, cfg),
+            );
+        }
+    }
+
+    #[test]
+    fn unpark_guard_frees_every_processor() {
+        let (trace, _, _) = capture_mini(2);
+        let sim = boot(&trace, PolicyKind::Platinum, None, None);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _unpark = UnparkAll(&sim.kernel);
+            for p in 0..2 {
+                sim.kernel.park(sim.attach(p).unwrap());
+            }
+            panic!("replay failed mid-phase");
+        }));
+        assert!(unwound.is_err());
+        // No parked context still holds the kernel, and both processors
+        // can be attached again.
+        assert_eq!(std::sync::Arc::strong_count(&sim.kernel), 1);
+        for p in 0..2 {
+            assert!(sim.kernel.unpark(p).is_none());
+            assert!(sim.attach(p).is_ok(), "processor {p} still occupied");
         }
     }
 
